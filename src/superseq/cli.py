@@ -44,7 +44,10 @@ def _load(path: str, window_override: int | None) -> Scenario:
     if window_override is not None:
         if scenario.mode != "super_sheaf":
             raise ScenarioError("--window-override applies only to super_sheaf scenarios")
-        scenario.model = scenario.model.with_window(window_override)
+        try:
+            scenario.model = scenario.model.with_window(window_override)
+        except ValueError as exc:
+            raise ScenarioError(f"--window-override: {exc}") from exc
     return scenario
 
 
@@ -136,6 +139,8 @@ def cmd_validate(scenario: Scenario) -> tuple[int, str]:
 
 
 def cmd_pages(scenario: Scenario, r_max: int | None, fmt: str) -> tuple[int, str]:
+    if r_max is not None and r_max < 0:
+        raise ScenarioError(f"--r-max must be nonnegative, got {r_max}")
     complex_ = _complex_of(scenario)
     report = complex_.validate()
     if not report.ok:

@@ -423,7 +423,7 @@ def _solve_symbol_coboundary(model: SheafModel, target: QuasiDerivation,
     key_list = sorted(keys)
     key_index = {key: i for i, key in enumerate(key_list)}
 
-    rows = [[0] * len(columns) for _ in key_list]
+    rows = [{} for _ in key_list]
     for j, col in enumerate(columns):
         for key, c in col.items():
             rows[key_index[key]][j] = c
@@ -479,7 +479,8 @@ def normalize_cocycle(model: SheafModel):
         shift = a.deviation_shift()
         if shift is None:
             return math.inf, a
-        assert shift >= k, "normalization lost filtration depth"
+        if shift < k:
+            raise RuntimeError("normalization lost filtration depth")
         symbol = degree_symbol(a, k)
         if not symbol.is_zero():
             width = _obstruction_width(model, symbol)

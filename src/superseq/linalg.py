@@ -6,25 +6,29 @@ form, kernels, preimages, subspace lattice operations, quotients and
 induced maps on quotients.  All arithmetic uses ``fractions.Fraction``;
 there is no floating point anywhere.
 
-Subspaces are kept in canonical reduced row echelon form, so two equal
-subspaces are equal as Python objects.  Quotient bases are chosen by a
-deterministic pivot-completion rule, which makes every matrix produced
-downstream reproducible across runs.
-
-The matrices coming from Cech complexes are very sparse, so the
-elimination loops work through precomputed nonzero index lists rather
-than dense row scans.
+Matrices and subspace bases are stored as sparse rows, one dict per row
+from column index to nonzero Fraction in increasing column order, so the
+almost empty Cech matrices cost only their nonzeros; the dense
+``entries`` view is built on first use.  One routine, ``_reduce``, brings
+sparse rows to canonical reduced row echelon form, and every elimination
+in the module goes through it.  Two equal subspaces are therefore equal
+as Python objects, and quotient bases are chosen by a deterministic
+pivot-completion rule, so every matrix produced downstream is
+reproducible across runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
+from heapq import heapify, heappop, heappush
 
 Vector = tuple[Fraction, ...]
+Row = dict  # {column: nonzero Fraction}, increasing column order
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_set = object.__setattr__
 
 
 def _frac(x) -> Fraction:
@@ -35,27 +39,146 @@ def vector(values: Iterable) -> Vector:
     return tuple(_frac(v) for v in values)
 
 
+def _sparse(values: Sequence, length: int, error: str) -> Row:
+    """The nonzero entries of a dense sequence; ``error`` formats a length mismatch."""
+    if len(values) != length:
+        raise ValueError(error.format(got=len(values), want=length))
+    out = {}
+    for j, v in enumerate(values):
+        if v:
+            v = _frac(v)
+            if v:
+                out[j] = v
+    return out
+
+
+def _dense(row: Row, length: int) -> Vector:
+    out = [_ZERO] * length
+    for j, v in row.items():
+        out[j] = v
+    return tuple(out)
+
+
+def _sorted(row: Row) -> Row:
+    return dict(sorted(row.items()))
+
+
+def _add_multiple(y: Row, f: Fraction, x: Row) -> None:
+    """y += f * x in place, dropping the entries that cancel."""
+    for j, v in x.items():
+        w = y.get(j)
+        if w is None:
+            y[j] = f * v
+        else:
+            w += f * v
+            if w:
+                y[j] = w
+            else:
+                del y[j]
+
+
+def _combine(coeffs: Row, rows: Sequence[Row]) -> Row:
+    """The sum of coeffs[k] * rows[k]."""
+    out: Row = {}
+    for k, c in coeffs.items():
+        _add_multiple(out, c, rows[k])
+    return out
+
+
+def _reduce(rows: Iterable[Row]) -> tuple[list[Row], tuple[int, ...], list[int]]:
+    """Canonical reduced row echelon form of sparse rows, left unchanged.
+
+    Returns the basis rows in increasing pivot order, the pivot columns,
+    and the indices of the input rows that enlarged the span.  A new row
+    is cleared at the earlier pivots in insertion order: each earlier row
+    vanishes at the pivots inserted before its own, so clearing it only
+    creates entries at later pivots, which a heap of insertion times
+    visits in turn.  A last pass clears the rows at the later pivots.
+    """
+    when: dict[int, int] = {}  # pivot column -> insertion time
+    basis: list[Row] = []
+    kept = []
+    for index, row in enumerate(rows):
+        heap = [when[j] for j in row if j in when]
+        heapify(heap)
+        row = dict(row)
+        while heap:
+            t = heappop(heap)
+            source = basis[t]
+            f = row.get(next(iter(source)))
+            if f is None:  # pushed twice, already cleared
+                continue
+            _add_multiple(row, -f, source)
+            for j in source:
+                s = when.get(j)
+                if s is not None and s > t and j in row:
+                    heappush(heap, s)
+        if not row:
+            continue
+        lead = min(row)
+        pv = row[lead]
+        if pv != 1:
+            inv = _ONE / pv
+            row = {j: v * inv for j, v in row.items()}
+        when[lead] = len(basis)
+        basis.append(_sorted(row))
+        kept.append(index)
+    for t in range(len(basis) - 1, -1, -1):
+        row = basis[t]
+        # the later rows are final and vanish at each other's pivots
+        for j, f in [(j, f) for j, f in row.items() if when.get(j, t) > t]:
+            _add_multiple(row, -f, basis[when[j]])
+        basis[t] = _sorted(row)
+    pivots = tuple(sorted(when))
+    return [basis[when[p]] for p in pivots], pivots, kept
+
+
+def _null_rows(basis: Sequence[Row], pivots: Sequence[int], n: int) -> list[Row]:
+    """Rows spanning the null space of a reduced basis, one per free column f:
+    e_f - sum_r basis[r][f] e_{p_r}.  Their span is canonical, their form is not."""
+    free = {f: {f: _ONE} for f in range(n)}
+    for p in pivots:
+        del free[p]
+    for p, row in zip(pivots, basis):
+        for j, v in row.items():
+            if j != p:
+                free[j][p] = -v
+    return list(free.values())
+
+
 class RationalMatrix:
-    """Dense matrix with Fraction entries, immutable after construction."""
+    """Immutable matrix with Fraction entries, stored as sparse rows."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_data", "_col_data", "_entries")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence | Mapping]):
+        """``entries`` has one item per row: either the dense sequence of its
+        ``cols`` values, or a {column: value} mapping of its nonzero ones."""
         if len(entries) != rows:
             raise ValueError(f"expected {rows} rows, got {len(entries)}")
-        normalized = []
+        data = []
         for row in entries:
-            if len(row) != cols:
-                raise ValueError(f"expected {cols} columns, got {len(row)}")
-            normalized.append(tuple(_frac(v) for v in row))
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(normalized)
+            if not isinstance(row, Mapping):
+                data.append(_sparse(row, cols, "expected {want} columns, got {got}"))
+                continue
+            if row and not (0 <= min(row) and max(row) < cols):
+                raise ValueError(f"column index outside 0..{cols - 1}")
+            data.append({j: v for j, v in sorted((j, _frac(v)) for j, v in row.items()) if v})
+        self._fill(rows, cols, data)
+
+    def _fill(self, rows: int, cols: int, data: list[Row]):
+        for name, value in zip(self.__slots__, (rows, cols, tuple(data), None, None)):
+            _set(self, name, value)
+
+    @classmethod
+    def _wrap(cls, rows: int, cols: int, data: list[Row]) -> "RationalMatrix":
+        """The internal constructor: data holds sorted rows of nonzero Fractions."""
+        m = object.__new__(cls)
+        m._fill(rows, cols, data)
+        return m
 
     def __setattr__(self, name, value):
-        if hasattr(self, "entries") and name in self.__slots__:
-            raise AttributeError("RationalMatrix is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence]) -> "RationalMatrix":
@@ -65,145 +188,75 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._wrap(n, n, [{i: _ONE} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        zero_row = [_ZERO] * cols
-        return cls(rows, cols, [zero_row for _ in range(rows)])
+        return cls._wrap(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], rows: int | None = None) -> "RationalMatrix":
         n = len(cols)
         m = len(cols[0]) if n else (rows if rows is not None else 0)
-        return cls(m, n, [[cols[j][i] for j in range(n)] for i in range(m)])
+        data = [{} for _ in range(m)]
+        for j, col in enumerate(cols):
+            for i, v in _sparse(col, m, "column length {got} != rows {want}").items():
+                data[i][j] = v
+        return cls._wrap(m, n, data)
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """Dense rows, built on first use."""
+        if self._entries is None:
+            _set(self, "_entries", tuple(_dense(row, self.cols) for row in self._data))
+        return self._entries
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+    def nonzeros(self) -> Iterator[tuple[int, int, Fraction]]:
+        """(row, column, value) of every nonzero entry, row by row."""
+        for i, row in enumerate(self._data):
+            for j, v in row.items():
+                yield i, j, v
+
+    def _columns(self) -> list[Row]:
+        if self._col_data is None:
+            col_data = [{} for _ in range(self.cols)]
+            for i, j, v in self.nonzeros():
+                col_data[j][i] = v
+            _set(self, "_col_data", col_data)
+        return self._col_data
 
     def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
+        return [_dense(col, self.rows) for col in self._columns()]
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              [[self.entries[i][j] for i in range(self.rows)]
-                               for j in range(self.cols)])
+    def _apply(self, v: Row) -> Row:
+        """Matrix times a sparse column vector, as a combination of columns."""
+        return _combine(v, self._columns())
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        support = [(j, vj) for j, vj in enumerate(v) if vj]
-        if len(support) == 1 and support[0][1] == 1:
-            return self.column(support[0][0])
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            s = _ZERO
-            for j, vj in support:
-                if row[j]:
-                    s += row[j] * vj
-            out.append(s)
-        return tuple(out)
+        v = _sparse(v, self.cols, "vector length {got} != cols {want}")
+        return _dense(self._apply(v), self.rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out_row = [_ZERO] * other.cols
-            for k, rk in enumerate(row):
-                if rk:
-                    other_row = other.entries[k]
-                    for j, okj in enumerate(other_row):
-                        if okj:
-                            out_row[j] += rk * okj
-            out.append(out_row)
-        return RationalMatrix(self.rows, other.cols, out)
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(self.rows, self.cols,
-                              [[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(self.rows, self.cols,
-                              [[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols,
-                              [[-a for a in r] for r in self.entries])
-
-    def scale(self, c) -> "RationalMatrix":
-        c = _frac(c)
-        return RationalMatrix(self.rows, self.cols,
-                              [[c * a for a in r] for r in self.entries])
-
-    def _same_shape(self, other: "RationalMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        out = [_sorted(_combine(row, other._data)) for row in self._data]
+        return RationalMatrix._wrap(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.entries for v in row)
+        return not any(self._data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(tuple(row.items()) for row in self._data)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return f"RationalMatrix({self.rows}x{self.cols}: [{body}])"
-
-
-def _eliminate(work: list[list[Fraction]], n_cols: int) -> list[int]:
-    """In-place Gauss-Jordan; returns the pivot columns.
-
-    Row updates run over the nonzero support of the pivot row only.
-    """
-    n_rows = len(work)
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = None
-        for i in range(r, n_rows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        row_r = work[r]
-        pv = row_r[c]
-        if pv != 1:
-            inv = _ONE / pv
-            for j in range(c, n_cols):
-                if row_r[j]:
-                    row_r[j] *= inv
-        support = [j for j in range(c, n_cols) if row_r[j]]
-        for i in range(n_rows):
-            if i == r:
-                continue
-            f = work[i][c]
-            if f:
-                row_i = work[i]
-                for j in support:
-                    row_i[j] -= f * row_r[j]
-        pivots.append(c)
-        r += 1
-    return pivots
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
@@ -211,13 +264,13 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
 
     Idempotent: rref(rref(m)) == rref(m).
     """
-    work = [list(row) for row in m.entries]
-    pivots = _eliminate(work, m.cols)
-    return RationalMatrix(m.rows, m.cols, work), tuple(pivots)
+    basis, pivots, _ = _reduce(m._data)
+    basis += [{} for _ in range(m.rows - len(basis))]
+    return RationalMatrix._wrap(m.rows, m.cols, basis), pivots
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_reduce(m._data)[1])
 
 
 class Subspace:
@@ -228,46 +281,47 @@ class Subspace:
     subspaces is therefore literal equality of the stored data.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_support")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_by_pivot")
 
     def __init__(self, ambient_dim: int, basis: RationalMatrix,
                  pivots: tuple[int, ...] | None = None):
         if basis.cols != ambient_dim:
             raise ValueError(f"basis width {basis.cols} != ambient {ambient_dim}")
-        self.ambient_dim = ambient_dim
-        self.basis = basis
         if pivots is None:
-            pivots = tuple(next(j for j, v in enumerate(row) if v)
-                           for row in basis.entries)
-        self.pivots = pivots
-        self._support = None
+            pivots = tuple(min(row) for row in basis._data)
+        for name, value in zip(self.__slots__, (ambient_dim, basis, pivots,
+                                                dict(zip(pivots, basis._data)))):
+            _set(self, name, value)
 
     def __setattr__(self, name, value):
-        if name != "_support" and hasattr(self, "pivots") and name in self.__slots__:
-            raise AttributeError("Subspace is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def _span(cls, ambient_dim: int, rows: Iterable[Row]) -> "Subspace":
+        basis, pivots, _ = _reduce(rows)
+        return cls(ambient_dim, RationalMatrix._wrap(len(basis), ambient_dim, basis), pivots)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [list(vector(v)) for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise ValueError(f"vector length {len(v)} != ambient {ambient_dim}")
-        if not rows:
-            return cls(ambient_dim, RationalMatrix.zeros(0, ambient_dim), ())
-        pivots = _eliminate(rows, ambient_dim)
-        kept = rows[: len(pivots)]
-        return cls(ambient_dim, RationalMatrix(len(pivots), ambient_dim, kept),
-                   tuple(pivots))
+        error = "vector length {got} != ambient {want}"
+        return cls._span(ambient_dim, [_sparse(v, ambient_dim, error) for v in vectors])
+
+    @classmethod
+    def coordinate(cls, ambient_dim: int, indices: Iterable[int]) -> "Subspace":
+        """The span of the given standard basis vectors, built in canonical form."""
+        pivots = tuple(sorted(set(indices)))
+        if pivots and not (0 <= pivots[0] and pivots[-1] < ambient_dim):
+            raise ValueError(f"coordinate index outside 0..{ambient_dim - 1}")
+        rows = [{i: _ONE} for i in pivots]
+        return cls(ambient_dim, RationalMatrix._wrap(len(rows), ambient_dim, rows), pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix.zeros(0, ambient_dim), ())
+        return cls.coordinate(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix.identity(ambient_dim),
-                   tuple(range(ambient_dim)))
+        return cls.coordinate(ambient_dim, range(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -282,38 +336,30 @@ class Subspace:
     def basis_vectors(self) -> list[Vector]:
         return list(self.basis.entries)
 
-    def _row_support(self) -> list[list[tuple[int, Fraction]]]:
-        if self._support is None:
-            self._support = [[(j, v) for j, v in enumerate(row) if v]
-                             for row in self.basis.entries]
-        return self._support
-
-    def reduce_vector(self, v: Sequence) -> Vector:
-        """Subtract the projection onto this subspace along its pivots.
-
-        Returns the zero vector exactly when v lies in the subspace.
-        """
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        v = [_frac(x) for x in v]
-        for p, support in zip(self.pivots, self._row_support()):
-            f = v[p]
-            if f:
-                for j, val in support:
-                    v[j] -= f * val
-        return tuple(v)
+    def _residual(self, v: Row) -> Row:
+        """v minus its projection along the pivots; empty exactly when v lies here."""
+        hits = [(p, f) for p, f in v.items() if p in self._by_pivot]
+        if hits:
+            v = dict(v)
+            for p, f in hits:
+                _add_multiple(v, -f, self._by_pivot[p])
+        return v
 
     def contains_vector(self, v: Sequence) -> bool:
-        return not any(self.reduce_vector(v))
+        return not self._residual(_sparse(v, self.ambient_dim, "ambient dimension mismatch"))
+
+    def _contains_rows(self, rows: Iterable[Row]) -> bool:
+        return not any(self._residual(row) for row in rows)
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if other.dim > self.dim:
             return False
-        if self.is_full():
-            return True
-        return all(self.contains_vector(row) for row in other.basis.entries)
+        return self.is_full() or self._contains_rows(other.basis._data)
+
+    def _annihilator_rows(self) -> list[Row]:
+        return _null_rows(self.basis._data, self.pivots, self.ambient_dim)
 
     def annihilator(self) -> RationalMatrix:
         """Matrix K with this subspace equal to ker K (rows span the dual annihilator)."""
@@ -327,11 +373,7 @@ class Subspace:
             return other
         if other.is_full():
             return self
-        ka = self.annihilator()
-        kb = other.annihilator()
-        stacked = RationalMatrix(ka.rows + kb.rows, self.ambient_dim,
-                                 list(ka.entries) + list(kb.entries))
-        return kernel(stacked)
+        return _kernel(self._annihilator_rows() + other._annihilator_rows(), self.ambient_dim)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -339,8 +381,7 @@ class Subspace:
             return self
         if self.is_zero():
             return other
-        return Subspace.from_vectors(self.ambient_dim,
-                                     list(self.basis.entries) + list(other.basis.entries))
+        return Subspace._span(self.ambient_dim, self.basis._data + other.basis._data)
 
     def _same_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -358,30 +399,26 @@ class Subspace:
         return f"Subspace(dim {self.dim} in Q^{self.ambient_dim})"
 
 
+def _kernel(rows: Sequence[Row], n: int) -> Subspace:
+    """The null space of the matrix with these rows and n columns."""
+    basis, pivots, _ = _reduce(rows)
+    return Subspace._span(n, _null_rows(basis, pivots, n))
+
+
 def kernel(m: RationalMatrix) -> Subspace:
     """The solution space {v | m v = 0}, canonical basis, dim = cols - rank."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    vectors_ = []
-    for fc in free_cols:
-        v = [_ZERO] * m.cols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.entries[r][fc]
-        vectors_.append(v)
-    return Subspace.from_vectors(m.cols, vectors_)
+    return _kernel(m._data, m.cols)
 
 
 def image(m: RationalMatrix) -> Subspace:
     """Column span of m as a subspace of Q^rows."""
-    return Subspace.from_vectors(m.rows, m.columns())
+    return Subspace._span(m.rows, m._columns())
 
 
 def image_of_subspace(m: RationalMatrix, s: Subspace) -> Subspace:
     if s.ambient_dim != m.cols:
         raise ValueError("subspace does not live in the domain of m")
-    return Subspace.from_vectors(m.rows, [m.apply(v) for v in s.basis.entries])
+    return Subspace._span(m.rows, [m._apply(v) for v in s.basis._data])
 
 
 def preimage(m: RationalMatrix, w: Subspace) -> Subspace:
@@ -390,16 +427,8 @@ def preimage(m: RationalMatrix, w: Subspace) -> Subspace:
         raise ValueError(f"target ambient {w.ambient_dim} != rows {m.rows}")
     if w.is_full():
         return Subspace.full(m.cols)
-    n, k = m.cols, w.dim
-    if k == 0:
-        return kernel(m)
-    # Solve m v = W^T c jointly in (v, c), then project onto v.
-    aug_rows = []
-    wt = w.basis  # k x rows; columns of W^T are the basis vectors
-    for i in range(m.rows):
-        aug_rows.append(list(m.entries[i]) + [-wt.entries[j][i] for j in range(k)])
-    joint = kernel(RationalMatrix(m.rows, n + k, aug_rows))
-    return Subspace.from_vectors(n, [v[:n] for v in joint.basis.entries])
+    # m v lies in w exactly when every row annihilating w kills m v
+    return _kernel([_combine(ann, m._data) for ann in w._annihilator_rows()], m.cols)
 
 
 class QuotientPresentation:
@@ -411,111 +440,77 @@ class QuotientPresentation:
     respect to the representative classes; ``lift`` is a section of it.
     """
 
-    __slots__ = ("space", "subspace", "representatives", "_solver")
+    __slots__ = ("space", "subspace", "_reps", "_dense_reps", "_solver")
 
     def __init__(self, space: Subspace, subspace: Subspace):
         if not space.contains(subspace):
             raise ValueError("subspace is not contained in the ambient space of the quotient")
-        self.space = space
-        self.subspace = subspace
-        # one elimination pass: seed with the subspace rows, then sweep the
-        # space rows, keeping those that enlarge the span
-        n = space.ambient_dim
-        state = [list(row) for row in subspace.basis.entries]
-        state_pivots = list(subspace.pivots)
-        reps = []
-        for row in space.basis.entries:
-            residual = list(row)
-            # state rows in insertion order: each is already clear at all
-            # earlier pivots, so one sweep reduces completely
-            for p, srow in zip(state_pivots, state):
-                f = residual[p]
-                if f:
-                    for j in range(p, n):
-                        if srow[j]:
-                            residual[j] -= f * srow[j]
-            lead = next((j for j, v in enumerate(residual) if v), None)
-            if lead is None:
-                continue
-            reps.append(row)
-            inv = _ONE / residual[lead]
-            state.append([v * inv if v else _ZERO for v in residual])
-            state_pivots.append(lead)
-        self.representatives = tuple(reps)
-        assert len(reps) == space.dim - subspace.dim
-        self._solver = None
+        # reduce the rows of w, then those of v: the rows of v that
+        # enlarge the span are the representatives
+        rows = subspace.basis._data + space.basis._data
+        reps = tuple(rows[i] for i in _reduce(rows)[2] if i >= subspace.dim)
+        if len(reps) != space.dim - subspace.dim:
+            raise RuntimeError(f"quotient rank {len(reps)} != {space.dim} - {subspace.dim}")
+        for name, value in zip(self.__slots__, (space, subspace, reps, None, None)):
+            _set(self, name, value)
 
     def __setattr__(self, name, value):
-        if name != "_solver" and hasattr(self, "representatives") and name in self.__slots__:
-            raise AttributeError("QuotientPresentation is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("QuotientPresentation is immutable")
+
+    @property
+    def representatives(self) -> tuple[Vector, ...]:
+        if self._dense_reps is None:
+            n = self.space.ambient_dim
+            _set(self, "_dense_reps", tuple(_dense(rep, n) for rep in self._reps))
+        return self._dense_reps
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return len(self._reps)
 
-    def _ensure_solver(self):
-        if self._solver is not None:
-            return
-        # Columns: representatives then basis of w; full column rank by
-        # construction.  Precompute the row-reduction transform once.
-        n = self.space.ambient_dim
-        cols = list(self.representatives) + list(self.subspace.basis.entries)
-        k = len(cols)
-        aug = [[cols[j][i] for j in range(k)] + [_ONE if t == i else _ZERO for t in range(n)]
-               for i in range(n)]
-        pivots = _eliminate(aug, k + n)
-        # the stacked columns are independent, so they all become pivots
-        assert list(pivots[:k]) == list(range(k))
-        transform = [[row[k + j] for j in range(n)] for row in aug]
-        support = [[(j, v) for j, v in enumerate(row) if v] for row in transform]
-        self._solver = (support, k)
+    def _transform(self) -> dict[int, list[tuple[int, Fraction]]]:
+        """Columns of T, built on first use: reducing [B | I], B with the
+        representatives and the basis of w as columns, leaves [I | T] on top of
+        [0 | A]; T gives coordinates and A annihilates the span of B."""
+        if self._solver is None:
+            n, k = self.space.ambient_dim, self.space.dim
+            aug = [{k + i: _ONE} for i in range(n)]
+            for c, vec in enumerate(self._reps + self.subspace.basis._data):
+                for i, v in vec.items():
+                    aug[i][c] = v
+            basis, pivots, _ = _reduce(aug)
+            if pivots[:k] != tuple(range(k)):
+                raise RuntimeError("quotient basis vectors are not independent")
+            columns: dict[int, list[tuple[int, Fraction]]] = {}
+            for r, row in enumerate(basis):
+                for j, v in row.items():
+                    if j >= k:
+                        columns.setdefault(j - k, []).append((r, v))
+            _set(self, "_solver", columns)
+        return self._solver
 
-    def coordinates_mod(self, x: Sequence) -> Vector:
-        """Coordinates of x in the full basis (representatives + w-basis)."""
-        self._ensure_solver()
-        support, k = self._solver
-        n = self.space.ambient_dim
-        if len(x) != n:
-            raise ValueError("ambient dimension mismatch")
-        x = [_frac(v) for v in x]
-        x_nz = [(j, v) for j, v in enumerate(x) if v]
-        coeffs = []
-        for row in support:
-            s = _ZERO
-            if len(row) < len(x_nz):
-                for j, tv in row:
-                    if x[j]:
-                        s += tv * x[j]
-            else:
-                lookup = dict(row)
-                for j, xv in x_nz:
-                    tv = lookup.get(j)
-                    if tv is not None:
-                        s += tv * xv
-            coeffs.append(s)
+    def _coordinates(self, x: Row) -> list[Fraction]:
+        transform = self._transform()
+        acc: dict[int, Fraction] = {}
+        for j, xv in x.items():
+            for r, tv in transform.get(j, ()):
+                acc[r] = acc.get(r, _ZERO) + tv * xv
         total = self.space.dim
-        for r in range(total, n):
-            if coeffs[r]:
-                raise ValueError("vector does not lie in the quotient's ambient space")
-        return tuple(coeffs[:total])
+        if any(v for r, v in acc.items() if r >= total):
+            raise ValueError("vector does not lie in the quotient's ambient space")
+        return [acc.get(r, _ZERO) for r in range(total)]
 
     def project(self, x: Sequence) -> Vector:
         """Coordinates of the class of x in the representative basis."""
-        return self.coordinates_mod(x)[: self.dim]
+        x = _sparse(x, self.space.ambient_dim, "ambient dimension mismatch")
+        return tuple(self._coordinates(x)[: self.dim])
 
     def lift(self, coords: Sequence) -> Vector:
         coords = vector(coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        n = self.space.ambient_dim
-        out = [_ZERO] * n
-        for c, rep in zip(coords, self.representatives):
-            if c:
-                for j in range(n):
-                    if rep[j]:
-                        out[j] += c * rep[j]
-        return tuple(out)
+        out = _combine({k: c for k, c in enumerate(coords) if c}, self._reps)
+        return _dense(out, self.space.ambient_dim)
 
     def __repr__(self) -> str:
         return f"QuotientPresentation(dim {self.dim} = {self.space.dim} - {self.subspace.dim})"
@@ -531,13 +526,13 @@ def solve_linear(m: RationalMatrix, rhs: Sequence) -> Vector | None:
     rhs = vector(rhs)
     if len(rhs) != m.rows:
         raise ValueError("right hand side length does not match the matrix")
-    aug = [list(m.entries[i]) + [rhs[i]] for i in range(m.rows)]
-    pivots = _eliminate(aug, m.cols + 1)
+    basis, pivots, _ = _reduce({**row, m.cols: b} if b else row
+                               for row, b in zip(m._data, rhs))
     if pivots and pivots[-1] == m.cols:
         return None
     out = [_ZERO] * m.cols
-    for r, c in enumerate(pivots):
-        out[c] = aug[r][m.cols]
+    for row, c in zip(basis, pivots):
+        out[c] = row.get(m.cols, _ZERO)
     return tuple(out)
 
 
@@ -550,9 +545,9 @@ def induced_map(f: RationalMatrix, src: QuotientPresentation,
     """
     if f.cols != src.space.ambient_dim or f.rows != dst.space.ambient_dim:
         raise ValueError("matrix shape does not match the quotient ambients")
-    if not dst.space.contains(image_of_subspace(f, src.space)):
+    if not dst.space._contains_rows(f._apply(v) for v in src.space.basis._data):
         raise ValueError("map does not send source space into destination space")
-    if not dst.subspace.contains(image_of_subspace(f, src.subspace)):
+    if not dst.subspace._contains_rows(f._apply(v) for v in src.subspace.basis._data):
         raise ValueError("map does not send source subspace into destination subspace")
-    cols = [dst.project(f.apply(rep)) for rep in src.representatives]
-    return RationalMatrix.from_columns(cols, rows=dst.dim)
+    return RationalMatrix.from_columns(
+        [dst._coordinates(f._apply(rep))[: dst.dim] for rep in src._reps], rows=dst.dim)

@@ -241,13 +241,10 @@ class FilteredComplex:
                     problems.append(f"d(F^{p} C^{n}) not contained in F^{p} C^{n + 1}")
         if self.parity is not None:
             for n in range(self.n_max):
-                d = self.differential(n)
-                for j in range(d.cols):
-                    for i in range(d.rows):
-                        if d.entries[i][j] and \
-                                self.parity[n + 1][i] == self.parity[n][j]:
-                            problems.append(
-                                f"d^{n} is not parity-reversing at entry ({i}, {j})")
+                bad = sorted((j, i) for i, j, _ in self.differential(n).nonzeros()
+                             if self.parity[n + 1][i] == self.parity[n][j])
+                problems.extend(f"d^{n} is not parity-reversing at entry ({i}, {j})"
+                                for j, i in bad)
         self._validation = ValidationReport(not problems, problems)
         return self._validation
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
 
 from .grassmann import AlgebraElement, GrassmannAlgebra, popcount
 from .linalg import RationalMatrix, Subspace, quotient
@@ -305,8 +304,8 @@ def retract_graded(model: SheafModel) -> GradedSheafData:
         for level in range(model.p_max + 1):
             upper = [idx[k] for k in full.keys if model.level(k[1], k[2]) >= level]
             lower = [idx[k] for k in full.keys if model.level(k[1], k[2]) >= level + 1]
-            upper_space = _coordinate_subspace(n, upper)
-            lower_space = _coordinate_subspace(n, lower)
+            upper_space = Subspace.coordinate(n, upper)
+            lower_space = Subspace.coordinate(n, lower)
             pieces[(chart, level)] = quotient(upper_space, lower_space)
 
     # reduced sheaf over U0: classes modulo the odd ideal times the sheaf
@@ -318,21 +317,14 @@ def retract_graded(model: SheafModel) -> GradedSheafData:
         all_idx = [idx0[k] for k in full0.keys if model.generator_parity(k[2]) == par]
         deep_idx = [idx0[k] for k in full0.keys
                     if model.generator_parity(k[2]) == par and k[1] != 0]
-        pres = quotient(_coordinate_subspace(full0.dim, all_idx),
-                        _coordinate_subspace(full0.dim, deep_idx))
-        assert pres.dim % per_line == 0
+        pres = quotient(Subspace.coordinate(full0.dim, all_idx),
+                        Subspace.coordinate(full0.dim, deep_idx))
+        if pres.dim % per_line:
+            raise RuntimeError(f"reduced rank {pres.dim} is not a multiple of "
+                               f"the {per_line} sections per line")
         ranks.append(pres.dim // per_line)
 
     return GradedSheafData(model, pieces, ranks[0], ranks[1])
-
-
-def _coordinate_subspace(ambient: int, indices: Iterable[int]) -> Subspace:
-    rows = []
-    for i in sorted(set(indices)):
-        row = [0] * ambient
-        row[i] = 1
-        rows.append(row)
-    return Subspace.from_vectors(ambient, rows)
 
 
 class CechRealization:
@@ -363,11 +355,10 @@ class CechRealization:
         dim0, dim1 = len(self.basis0), len(self.basis1)
         cocycle = model.cocycle
 
-        columns = []
-        for chart, key in self.basis0:
-            col = [_ZERO] * dim1
+        rows = [{} for _ in range(dim1)]
+        for j, (chart, key) in enumerate(self.basis0):
             if chart == U0:
-                col[self._index1[key]] = Fraction(1)
+                rows[self._index1[key]][j] = 1
             else:
                 e, mask, g = key
                 restricted = model.monomial_section(e, mask, g)
@@ -378,9 +369,8 @@ class CechRealization:
                     if slot is None:
                         self.truncated_terms += 1
                         continue
-                    col[slot] -= c
-            columns.append(col)
-        d0 = RationalMatrix.from_columns(columns, rows=dim1)
+                    rows[slot][j] = -c
+        d0 = RationalMatrix(dim1, dim0, rows)
 
         filtration = {}
         for p in range(1, model.p_max):
@@ -388,8 +378,8 @@ class CechRealization:
                     if model.level(k[1], k[2]) >= p]
             idx1 = [i for i, k in enumerate(self.basis1)
                     if model.level(k[1], k[2]) >= p]
-            filtration[(p, 0)] = _coordinate_subspace(dim0, idx0)
-            filtration[(p, 1)] = _coordinate_subspace(dim1, idx1)
+            filtration[(p, 0)] = Subspace.coordinate(dim0, idx0)
+            filtration[(p, 1)] = Subspace.coordinate(dim1, idx1)
 
         parity0 = [model.level(k[1], k[2]) % 2 for _, k in self.basis0]
         parity1 = [(model.level(k[1], k[2]) + 1) % 2 for k in self.basis1]
@@ -486,14 +476,12 @@ def graded_piece_cohomology(model: SheafModel, level: int) -> tuple[int, int]:
              if split.level(k[1], k[2]) == level]
     index1 = {k: i for i, k in enumerate(keys1)}
 
-    columns = []
-    for chart, key in keys0:
-        col = [_ZERO] * len(keys1)
-        col[index1[key]] = Fraction(1) if chart == U0 else Fraction(-1)
-        columns.append(col)
+    rows = [{} for _ in keys1]
+    for j, (chart, key) in enumerate(keys0):
+        rows[index1[key]][j] = 1 if chart == U0 else -1
     complex_ = FilteredComplex(
         dims=[len(keys0), len(keys1)],
-        differentials=[RationalMatrix.from_columns(columns, rows=len(keys1))],
+        differentials=[RationalMatrix(len(keys1), len(keys0), rows)],
         filtration={},
         p_max=1,
     )

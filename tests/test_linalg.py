@@ -244,3 +244,19 @@ class TestCanonicalForms:
         f = M([[1, 0], [1, 0]])
         assert image_of_subspace(f, Subspace.full(2)) == span(2, (1, 1))
         assert image(f) == span(2, (1, 1))
+
+
+class TestSparseRows:
+    def test_mapping_rows_match_dense_rows(self):
+        sparse = RationalMatrix(2, 3, [{2: 1, 0: "1/2", 1: 0}, {}])
+        assert sparse == M([[Fraction(1, 2), 0, 1], [0, 0, 0]])
+        assert list(sparse.nonzeros()) == [(0, 0, Fraction(1, 2)), (0, 2, Fraction(1))]
+
+    def test_mapping_row_outside_columns_rejected(self):
+        with pytest.raises(ValueError):
+            RationalMatrix(1, 2, [{2: 1}])
+
+    def test_coordinate_subspace_is_canonical(self):
+        assert Subspace.coordinate(4, [3, 1, 3]) == span(4, (0, 0, 0, 1), (0, 1, 0, 0))
+        with pytest.raises(ValueError):
+            Subspace.coordinate(2, [2])

@@ -164,6 +164,19 @@ class TestCliExitCodes:
         assert run_cli("validate", str(SCENARIOS / "line_five_narrow.scn"),
                        "--window-override", "5") == 0
 
+    def test_window_override_zero_is_usage_error(self, capsys):
+        assert run_cli("validate", str(SCENARIOS / "split_m2.scn"),
+                       "--window-override", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_negative_r_max_is_usage_error(self, capsys):
+        assert run_cli("pages", str(SCENARIOS / "worked_complex.scn"), "--r-max", "-1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestCliOutputs:
     def test_pages_text_contains_worked_grid(self, capsys):
